@@ -33,7 +33,7 @@ GO ?= go
 # 2000 fixed iterations keeps scheduler noise on the parallel benches well
 # inside the 20% comparison threshold; 200x was too jittery to gate on.
 BENCH_ITERS ?= 2000x
-BENCH_PATTERN = BenchmarkMIC$$|BenchmarkComputeMatrix|BenchmarkARXAssociation|BenchmarkConcurrentDiagnose|BenchmarkDiagnoseSparse|BenchmarkSignatureMatch
+BENCH_PATTERN = BenchmarkMIC$$|BenchmarkComputeMatrix|BenchmarkARXAssociation|BenchmarkConcurrentDiagnose|BenchmarkDiagnoseSparse|BenchmarkSignatureMatch|BenchmarkSignatureRank$$
 # The serving bench goes through a real TCP socket (json and binary ingest
 # sub-benchmarks with periodic wait=true diagnoses), so it runs at its own
 # fixed iteration count.
@@ -51,8 +51,9 @@ BENCH_ALLOC_THRESHOLD ?= 0.1
 # the gate only inspects names present in the baseline, so without this a
 # dropped or renamed benchmark would silently lose its regression gate.
 # The fleet-scale signature retrievals are pinned because they are the
-# figures the sub-linear index exists for.
-BENCH_REQUIRE = BenchmarkSignatureMatch/n=10000,BenchmarkSignatureMatch/n=100000
+# figures the sub-linear index exists for; the triage-shape ranking because
+# it is the retrieval every warm diagnosis pays.
+BENCH_REQUIRE = BenchmarkSignatureMatch/n=10000,BenchmarkSignatureMatch/n=100000,BenchmarkSignatureRank/n=5000
 
 .PHONY: build test vet race check bench bench-compare smoke fleet-smoke fuzz
 
@@ -76,10 +77,12 @@ smoke: build
 fleet-smoke: build
 	$(GO) run ./cmd/invarnetd -fleet-smoke
 
-# Short coverage-guided run of the binary wire-decoder fuzzer; the seed
-# corpus alone (run by `make test`) only replays known shapes.
+# Short coverage-guided runs of the binary wire-decoder fuzzer and the
+# root-cause ranking equivalence fuzzer; the seed corpora alone (run by
+# `make test`) only replay known shapes.
 fuzz: build
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s
+	$(GO) test ./internal/signature/ -run '^$$' -fuzz FuzzRankEquivalence -fuzztime 10s
 
 bench: build
 	@mkdir -p benchmarks

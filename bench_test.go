@@ -585,6 +585,94 @@ func BenchmarkSignatureLinearScan(b *testing.B) {
 	}
 }
 
+// signatureTriageDB builds the triage-shaped ranking fixture: one operation
+// context whose history is n signatures of 7 problems, each a copy of its
+// problem's base tuple with 1–3 coordinates flipped (a labelled history
+// grown from a handful of investigated faults), MinScore 0 so every stored
+// signature is ranked, plus a batch of 32 queries drawn the same way. One
+// op is the whole batch.
+func signatureTriageDB(n int) (*signature.DB, []signature.Tuple) {
+	const (
+		tupleLen = 190
+		problems = 7
+	)
+	rng := NewRNG(12)
+	bases := make([]signature.Tuple, problems)
+	for p := range bases {
+		bases[p] = make(signature.Tuple, tupleLen)
+		for k := 0; k < 6+rng.Intn(12); k++ {
+			bases[p][rng.Intn(tupleLen)] = true
+		}
+	}
+	flipped := func(p int) signature.Tuple {
+		t := append(signature.Tuple(nil), bases[p]...)
+		for f := 1 + rng.Intn(3); f > 0; f-- {
+			k := rng.Intn(tupleLen)
+			t[k] = !t[k]
+		}
+		return t
+	}
+	db := &signature.DB{}
+	for i := 0; i < n; i++ {
+		p := i % problems
+		db.Add(signature.Entry{
+			Tuple:    flipped(p),
+			Problem:  fmt.Sprintf("fault-%d", p),
+			IP:       "10.0.0.2",
+			Workload: "wordcount",
+		})
+	}
+	queries := make([]signature.Tuple, 32)
+	for i := range queries {
+		queries[i] = flipped(rng.Intn(problems))
+	}
+	return db, queries
+}
+
+// BenchmarkSignatureRank measures production root-cause ranking at the
+// triage shape: RankProblems folds every scoped signature's score into its
+// problem's slot, so allocations per op stay flat as n grows (compare n=500
+// with n=5000). BenchmarkSignatureRankReference is the denominator.
+func BenchmarkSignatureRank(b *testing.B) {
+	for _, n := range []int{500, 5000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db, queries := signatureTriageDB(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					if _, err := db.RankProblems(q, nil, "10.0.0.2", "wordcount", Jaccard, 5); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSignatureRankReference ranks the same fixture through the
+// reference aggregation — every match materialised by MatchMasked(topK 0),
+// then collapsed per problem by BestProblem. It is not in the tracked
+// baseline; run it next to the production path:
+//
+//	go test -run '^$' -bench 'BenchmarkSignatureRank' -benchmem .
+func BenchmarkSignatureRankReference(b *testing.B) {
+	for _, n := range []int{500, 5000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			db, queries := signatureTriageDB(n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range queries {
+					matches, err := db.Match(q, "10.0.0.2", "wordcount", Jaccard, 0)
+					if err != nil {
+						b.Fatal(err)
+					}
+					_ = signature.BestProblem(matches)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkARXAssociation measures the ARX counterpart of BenchmarkMIC.
 func BenchmarkARXAssociation(b *testing.B) {
 	rng := NewRNG(2)

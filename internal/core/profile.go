@@ -367,6 +367,14 @@ func (p *Profile) SignatureSnapshot() *signature.DB {
 	return p.sigs.Clone()
 }
 
+// signatureEntries returns a deep copy of the profile's stored signatures
+// in insertion order, copied once under the profile lock.
+func (p *Profile) signatureEntries() []signature.Entry {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	return p.sigs.Entries()
+}
+
 // Diagnose runs cause inference on an abnormal metric window. The pipeline
 // is masked-first: invariants whose metrics were unavailable are reported
 // unknown rather than violated, signature similarity is computed only over
@@ -417,17 +425,13 @@ func (p *Profile) diagnoseHinted(errCtx Context, abnormal *metrics.Trace, hint *
 	// profile's own context (empty for the global no-context profile, which
 	// matches any).
 	p.mu.RLock()
-	matches, err := p.sigs.MatchMasked(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, 0)
+	ranked, err := p.sigs.RankProblems(rep.Tuple, rep.Known, p.key.IP, p.key.Workload, p.sys.cfg.Similarity, p.sys.cfg.TopK)
 	p.mu.RUnlock()
 	if err != nil {
 		if errors.Is(err, signature.ErrEmpty) {
 			return diag, nil // hints only
 		}
 		return nil, err
-	}
-	ranked := signature.BestProblem(matches)
-	if p.sys.cfg.TopK > 0 && len(ranked) > p.sys.cfg.TopK {
-		ranked = ranked[:p.sys.cfg.TopK]
 	}
 	// Weight similarity by the checkable fraction: a perfect match found
 	// while blind to half the invariants is only half the evidence.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -257,7 +258,7 @@ func TestTrainingPoolCap(t *testing.T) {
 	// Negative PoolCap disables the bound.
 	unbounded := New(Config{UseContext: true, PoolCap: -1})
 	for i := 0; i < 4; i++ {
-		if err := unbounded.TrainInvariants(ctx, []*metrics.Trace{synthTrace(rng.Fork(100 + int64(i)), 60, 8, nil)}); err != nil {
+		if err := unbounded.TrainInvariants(ctx, []*metrics.Trace{synthTrace(rng.Fork(100+int64(i)), 60, 8, nil)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,6 +308,65 @@ func TestSignatureSnapshotIsolated(t *testing.T) {
 	// problem survives alongside the seed entry.
 	if got := s.SignatureCount(); got != 1+4 {
 		t.Errorf("signature count %d, want %d", got, 1+4)
+	}
+}
+
+// TestDiagnosisCausesDoNotAliasSignatures: ranked causes carry their own
+// tuple copies, so a caller mutating Diagnosis.Causes cannot corrupt the
+// stored signatures (which the next SaveTo would persist).
+func TestDiagnosisCausesDoNotAliasSignatures(t *testing.T) {
+	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
+	s := trainSystem(t, DefaultConfig(), ctx, 860)
+	rng := stats.NewRNG(861)
+	fault := map[int]bool{0: true, 1: true}
+	if err := s.BuildSignature(ctx, "fault-a", synthTrace(rng.Fork(1), 40, 8, fault)); err != nil {
+		t.Fatal(err)
+	}
+	before := s.SignatureEntries()
+	diag, err := s.Diagnose(ctx, synthTrace(rng.Fork(2), 40, 8, fault))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diag.Causes) == 0 {
+		t.Fatal("no causes ranked")
+	}
+	for _, c := range diag.Causes {
+		for i := range c.Tuple {
+			c.Tuple[i] = !c.Tuple[i]
+		}
+	}
+	if !reflect.DeepEqual(s.SignatureEntries(), before) {
+		t.Fatal("mutating Diagnosis.Causes changed the stored signatures")
+	}
+}
+
+// TestSignatureEntriesOrder: the entry listing is the snapshot database's
+// content in the same profile order, and a deep copy.
+func TestSignatureEntriesOrder(t *testing.T) {
+	s := New(DefaultConfig())
+	rng := stats.NewRNG(870)
+	for i := 0; i < 12; i++ {
+		tu := make(signature.Tuple, 6)
+		for k := range tu {
+			tu[k] = rng.Float64() < 0.4
+		}
+		s.MergeSignature(signature.Entry{
+			Tuple:    tu,
+			Problem:  fmt.Sprintf("p%d", i%3),
+			IP:       fmt.Sprintf("10.0.0.%d", i%4),
+			Workload: []string{"wordcount", "tpcds"}[i%2],
+		})
+	}
+	got := s.SignatureEntries()
+	if want := s.SignatureSnapshot().Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("SignatureEntries %+v, snapshot entries %+v", got, want)
+	}
+	if len(got) == 0 {
+		t.Fatal("no entries listed")
+	}
+	got[0].Tuple[0] = !got[0].Tuple[0]
+	if reflect.DeepEqual(s.SignatureEntries(), got) {
+		t.Fatal("mutating a listed entry reached the stored signature")
 	}
 }
 

@@ -460,10 +460,19 @@ func (s *System) SignatureCount() int {
 // BuildSignature calls keep writing.
 func (s *System) SignatureSnapshot() *signature.DB {
 	out := &signature.DB{}
+	for _, e := range s.SignatureEntries() {
+		out.Add(e)
+	}
+	return out
+}
+
+// SignatureEntries returns a deep copy of every profile's stored signatures,
+// in SignatureSnapshot's order, without building a database over them: the
+// listing path for callers that only read the entries.
+func (s *System) SignatureEntries() []signature.Entry {
+	var out []signature.Entry
 	for _, p := range s.Profiles() {
-		for _, e := range p.SignatureSnapshot().Entries() {
-			out.Add(e)
-		}
+		out = append(out, p.signatureEntries()...)
 	}
 	return out
 }

@@ -577,7 +577,7 @@ func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSignaturesGet(w http.ResponseWriter, _ *http.Request) {
-	entries := s.sys.SignatureSnapshot().Entries()
+	entries := s.sys.SignatureEntries()
 	out := SignaturesResponse{Count: len(entries)}
 	for _, e := range entries {
 		out.Signatures = append(out.Signatures, SignatureEntry{

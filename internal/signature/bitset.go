@@ -51,15 +51,16 @@ func pack(t Tuple) packed {
 // coordinates, optionally restricted by a packed known mask (nil compares
 // every coordinate). The identities: both = |a∧b|, either = |a∨b|,
 // equal = compared − |a⊕b|, all intersected with the mask when present.
+// Unmasked, only |a∧b| needs a popcount: with the precomputed ones,
+// |a∨b| = onesA + onesB − both and |a⊕b| = either − both exactly.
 func bitCounts(a, b packed, known []uint64, n int) (both, either, equal, onesA, onesB, compared int) {
 	if known == nil {
-		for w := range a.words {
-			aw, bw := a.words[w], b.words[w]
-			both += bits.OnesCount64(aw & bw)
-			either += bits.OnesCount64(aw | bw)
-			equal += bits.OnesCount64(aw ^ bw) // mismatches first; inverted below
+		bw := b.words[:len(a.words)]
+		for w, aw := range a.words {
+			both += bits.OnesCount64(aw & bw[w])
 		}
-		equal = n - equal
+		either = a.ones + b.ones - both
+		equal = n - (either - both)
 		return both, either, equal, a.ones, b.ones, n
 	}
 	for w := range a.words {

@@ -173,3 +173,33 @@ func FuzzSimilarity(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRankEquivalence drives the RankProblems-vs-reference equivalence from
+// arbitrary fuzz inputs, with the same random databases as
+// FuzzMatchEquivalence plus tied duplicates: the per-problem fold must
+// return BestProblem(MatchMasked(..., 0)) truncated to topK, bit for bit,
+// and advance the retrieval counters exactly as that query does.
+func FuzzRankEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(30), uint8(3), uint8(0), uint8(0))
+	f.Add(int64(7), uint8(0), uint8(1), uint8(0), uint8(1), uint8(1))
+	f.Add(int64(42), uint8(100), uint8(64), uint8(10), uint8(3), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nEntries, tupleLen, minScoreTenths, topK, maskKind uint8) {
+		rng := stats.NewRNG(seed)
+		n := int(tupleLen) % 129
+		minScore := float64(minScoreTenths%11) / 10
+		db := buildRandomDB(rng, int(nEntries), n, minScore)
+		addTies(rng, db, int(nEntries)/3)
+		tuple := randomTuple(rng, n, []float64{0, 0.1, 0.5}[rng.Intn(3)])
+		var known []bool
+		switch maskKind % 3 {
+		case 1:
+			known = []bool(randomTuple(rng, n, 0.7))
+		case 2:
+			known = make([]bool, n)
+		}
+		ip := []string{"", "10.0.0.1", "10.0.0.2"}[rng.Intn(3)]
+		wl := []string{"", "wc", "tpcds"}[rng.Intn(3)]
+		m := Measure(rng.Intn(3))
+		rankBothPaths(t, db, tuple, known, ip, wl, m, int(topK%8), "fuzz")
+	})
+}

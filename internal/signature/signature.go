@@ -7,9 +7,11 @@
 package signature
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -225,6 +227,13 @@ type Match struct {
 type DB struct {
 	entries []Entry
 	packs   []packed // bitset form of each entry's tuple, parallel to entries
+	// probOf interns each entry's problem name, parallel to entries:
+	// probIDs[entries[i].Problem] == probOf[i], ids dense from 0.
+	// RankProblems folds scores into one slot per problem id instead of
+	// materialising a Match per entry. Maintained by Add and rebuilt by
+	// Prune.
+	probOf  []int32
+	probIDs map[string]int32
 	// dedup indexes entries by (context, fingerprint) for Merge; maintained
 	// by Add and rebuilt by Prune.
 	dedup map[mergeKey]struct{}
@@ -270,13 +279,30 @@ func (db *DB) Add(e Entry) {
 		IP:       e.IP,
 		Workload: e.Workload,
 	})
+	db.indexEntry(int32(len(db.entries) - 1))
+}
+
+// indexEntry extends every structure derived from entries — packs, problem
+// ids, the dedup map and the inverted index — with stored entry i, which
+// must be the next one not yet indexed.
+func (db *DB) indexEntry(i int32) {
+	e := db.entries[i]
 	p := pack(e.Tuple)
 	db.packs = append(db.packs, p)
+	id, ok := db.probIDs[e.Problem]
+	if !ok {
+		if db.probIDs == nil {
+			db.probIDs = make(map[string]int32)
+		}
+		id = int32(len(db.probIDs))
+		db.probIDs[e.Problem] = id
+	}
+	db.probOf = append(db.probOf, id)
 	if db.dedup == nil {
 		db.dedup = make(map[mergeKey]struct{})
 	}
 	db.dedup[e.key()] = struct{}{}
-	db.idx.add(int32(len(db.entries)-1), e, p)
+	db.idx.add(i, e, p)
 }
 
 // Merge stores a signature unless an identical one — same operation context,
@@ -344,45 +370,125 @@ func (db *DB) Match(tuple Tuple, ip, workloadType string, measure Measure, topK 
 // (score descending, problem ascending, insertion order) via a bounded
 // top-k heap.
 func (db *DB) MatchMasked(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+	sel := selector{k: topK, entries: db.entries}
+	if err := db.retrieve(tuple, known, ip, workloadType, measure, sel.add); err != nil {
+		return nil, err
+	}
+	return sel.results(), nil
+}
+
+// RankProblems is the production root-cause ranking: it returns exactly
+// what BestProblem(MatchMasked(tuple, known, ip, workloadType, measure, 0))
+// returns, truncated to topK (<= 0 keeps every problem), without
+// materialising a match per entry. Each scored entry folds straight into
+// its problem's slot, which keeps the best score and, among equal best
+// scores, the lowest insertion index — the entry BestProblem keeps. Only
+// the winning problems are sorted (score descending, problem ascending), so
+// the cost is O(scoped entries) integer scoring with O(problems) allocation.
+// Retrieval paths and the ScanStats/IndexStats counters are MatchMasked's.
+// Each returned Match owns a copy of its tuple: mutating it cannot reach
+// the stored signature.
+func (db *DB) RankProblems(tuple Tuple, known []bool, ip, workloadType string, measure Measure, topK int) ([]Match, error) {
+	f := problemFold{probOf: db.probOf, best: make([]problemBest, len(db.probIDs))}
+	if err := db.retrieve(tuple, known, ip, workloadType, measure, f.add); err != nil {
+		return nil, err
+	}
+	return f.results(db, topK), nil
+}
+
+// problemBest is one problem's slot in a RankProblems fold: its best score
+// so far and the entry that holds it.
+type problemBest struct {
+	score float64
+	idx   int32
+	seen  bool
+}
+
+// problemFold keeps the best-scoring entry of each interned problem.
+type problemFold struct {
+	probOf []int32
+	best   []problemBest // indexed by problem id
+}
+
+func (f *problemFold) add(idx int32, score float64) {
+	b := &f.best[f.probOf[idx]]
+	if !b.seen || score > b.score || (score == b.score && idx < b.idx) {
+		*b = problemBest{score: score, idx: idx, seen: true}
+	}
+}
+
+// results ranks the problems that received a score and returns the first
+// topK as matches carrying their representative entries. The slice is
+// non-nil even when no problem scored, like BestProblem's.
+func (f *problemFold) results(db *DB, topK int) []Match {
+	won := f.best[:0] // compact the seen slots in place
+	for _, b := range f.best {
+		if b.seen {
+			won = append(won, b)
+		}
+	}
+	slices.SortFunc(won, func(a, b problemBest) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return strings.Compare(db.entries[a.idx].Problem, db.entries[b.idx].Problem)
+	})
+	if topK > 0 && len(won) > topK {
+		won = won[:topK]
+	}
+	out := make([]Match, len(won))
+	for i, b := range won {
+		e := db.entries[b.idx]
+		e.Tuple = append(Tuple(nil), e.Tuple...)
+		out[i] = Match{Entry: e, Score: b.score}
+	}
+	return out
+}
+
+// retrieve validates and packs the query, dispatches it to a retrieval path
+// and passes every entry scoring at least MinScore to add. It returns
+// ErrEmpty when no stored entry falls in the (ip, workloadType) scope. add
+// is a function value rather than an interface so the per-query collector
+// behind it stays on the caller's stack.
+func (db *DB) retrieve(tuple Tuple, known []bool, ip, workloadType string, measure Measure, add func(idx int32, score float64)) error {
 	n := len(tuple)
 	if known != nil && len(known) != n {
 		// Validated once per query, not per entry — and reported even when
 		// the scope matches zero entries.
-		return nil, fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), n)
+		return fmt.Errorf("signature: mask length %d for tuples of length %d", len(known), n)
 	}
 	q := pack(tuple)
 	var knownWords []uint64
 	if known != nil {
 		knownWords = packWords(known)
 	}
-	sel := selector{k: topK}
 	var scoped int
 	var err error
 	switch {
 	case db.DisableIndex:
 		db.idxScanQueries.Add(1)
-		scoped, err = db.matchLinear(q, knownWords, n, ip, workloadType, measure, &sel)
+		scoped, err = db.matchLinear(q, knownWords, n, ip, workloadType, measure, add)
 	case knownWords == nil && db.MinScore > 0 && (measure == Jaccard || measure == Cosine):
 		db.idxQueries.Add(1)
-		scoped, err = db.matchIndexed(q, n, ip, workloadType, measure, &sel)
+		scoped, err = db.matchIndexed(q, n, ip, workloadType, measure, add)
 	default:
 		db.idxScanQueries.Add(1)
-		scoped, err = db.matchScoped(q, knownWords, n, ip, workloadType, measure, &sel)
+		scoped, err = db.matchScoped(q, knownWords, n, ip, workloadType, measure, add)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if scoped == 0 {
-		return nil, ErrEmpty
+		return ErrEmpty
 	}
-	return sel.results(), nil
+	return nil
 }
 
 // scoreEntry computes entry idx's similarity to the packed query exactly as
 // the historical linear scan did — precomputed-count fast paths included —
-// and offers it to the selector. Shared by every retrieval path so scores
+// and passes it to add. Shared by every retrieval path so scores
 // and selection stay bit-identical.
-func (db *DB) scoreEntry(idx int32, q packed, knownWords []uint64, n int, measure Measure, sel *selector, early *int64) error {
+func (db *DB) scoreEntry(idx int32, q packed, knownWords []uint64, n int, measure Measure, add func(idx int32, score float64), early *int64) error {
 	ep := db.packs[idx]
 	var s float64
 	resolved := false
@@ -415,7 +521,7 @@ func (db *DB) scoreEntry(idx int32, q packed, knownWords []uint64, n int, measur
 	if s < db.MinScore {
 		return nil
 	}
-	sel.add(Match{Entry: db.entries[idx], Score: s}, idx)
+	add(idx, s)
 	return nil
 }
 
@@ -423,7 +529,7 @@ func (db *DB) scoreEntry(idx int32, q packed, knownWords []uint64, n int, measur
 // entry with per-entry scope filtering. Kept as the DisableIndex path — the
 // baseline the equivalence tests and the linear-scan benchmark pin the
 // index against.
-func (db *DB) matchLinear(q packed, knownWords []uint64, n int, ip, workloadType string, measure Measure, sel *selector) (int, error) {
+func (db *DB) matchLinear(q packed, knownWords []uint64, n int, ip, workloadType string, measure Measure, add func(idx int32, score float64)) (int, error) {
 	scoped := 0
 	var scanned, early int64
 	defer func() {
@@ -445,7 +551,7 @@ func (db *DB) matchLinear(q packed, knownWords []uint64, n int, ip, workloadType
 			early++
 			continue
 		}
-		if err := db.scoreEntry(int32(idx), q, knownWords, n, measure, sel, &early); err != nil {
+		if err := db.scoreEntry(int32(idx), q, knownWords, n, measure, add, &early); err != nil {
 			return 0, err
 		}
 	}
@@ -456,7 +562,7 @@ func (db *DB) matchLinear(q packed, knownWords []uint64, n int, ip, workloadType
 // other operation contexts and the length buckets prune stale tuples, but
 // every entry of the query-length bucket is scored. The fallback for
 // masked windows, Hamming, and MinScore == 0 queries.
-func (db *DB) matchScoped(q packed, knownWords []uint64, n int, ip, workloadType string, measure Measure, sel *selector) (int, error) {
+func (db *DB) matchScoped(q packed, knownWords []uint64, n int, ip, workloadType string, measure Measure, add func(idx int32, score float64)) (int, error) {
 	scoped := 0
 	var scanned, early int64
 	defer func() {
@@ -479,7 +585,7 @@ func (db *DB) matchScoped(q packed, knownWords []uint64, n int, ip, workloadType
 			}
 			scanned += int64(len(b.ids))
 			for _, idx := range b.ids {
-				if err = db.scoreEntry(idx, q, knownWords, n, measure, sel, &early); err != nil {
+				if err = db.scoreEntry(idx, q, knownWords, n, measure, add, &early); err != nil {
 					return
 				}
 			}
@@ -500,7 +606,7 @@ func (db *DB) matchScoped(q packed, knownWords []uint64, n int, ip, workloadType
 // similarityFromCounts needs follows by integer arithmetic — the same
 // integers bitCounts would produce — and reported scores stay bit-identical
 // to the scans' without re-touching the candidate's tuple.
-func (db *DB) matchIndexed(q packed, n int, ip, workloadType string, measure Measure, sel *selector) (int, error) {
+func (db *DB) matchIndexed(q packed, n int, ip, workloadType string, measure Measure, add func(idx int32, score float64)) (int, error) {
 	scoped := 0
 	var scoredN int64
 	defer func() { db.idxCandidates.Add(scoredN) }()
@@ -518,7 +624,7 @@ func (db *DB) matchIndexed(q packed, n int, ip, workloadType string, measure Mea
 		if q.ones == 0 {
 			for _, idx := range b.zeros {
 				scoredN++
-				if err = db.scoreEntry(idx, q, nil, n, measure, sel, nil); err != nil {
+				if err = db.scoreEntry(idx, q, nil, n, measure, add, nil); err != nil {
 					return
 				}
 			}
@@ -539,7 +645,7 @@ func (db *DB) matchIndexed(q packed, n int, ip, workloadType string, measure Mea
 			if s < db.MinScore {
 				return
 			}
-			sel.add(Match{Entry: db.entries[idx], Score: s}, idx)
+			add(idx, s)
 		})
 	})
 	if err != nil {
@@ -607,13 +713,12 @@ func (db *DB) Prune(measure Measure, threshold float64) (removed int, err error)
 	}
 	db.entries = kept
 	db.packs = db.packs[:0]
+	db.probOf = db.probOf[:0]
+	db.probIDs = nil
 	db.dedup = make(map[mergeKey]struct{}, len(kept))
 	db.idx.reset()
-	for i, e := range kept {
-		p := pack(e.Tuple)
-		db.packs = append(db.packs, p)
-		db.dedup[e.key()] = struct{}{}
-		db.idx.add(int32(i), e, p)
+	for i := range kept {
+		db.indexEntry(int32(i))
 	}
 	return removed, nil
 }

@@ -31,16 +31,17 @@ func better(a, b scored) bool {
 }
 
 // selector accumulates candidate matches and yields the ranked result.
-// The zero value with k set is ready to use.
+// It is ready to use once k and entries are set.
 type selector struct {
-	k    int      // bound; <= 0 keeps everything
-	heap []scored // k > 0: min-heap with the worst kept candidate at the root
-	all  []scored // k <= 0: plain accumulation, sorted at the end
+	k       int      // bound; <= 0 keeps everything
+	entries []Entry  // the DB's entries, which add indexes into
+	heap    []scored // k > 0: min-heap with the worst kept candidate at the root
+	all     []scored // k <= 0: plain accumulation, sorted at the end
 }
 
-// add offers one candidate.
-func (s *selector) add(m Match, idx int32) {
-	c := scored{m: m, idx: idx}
+// add offers entry idx with its score.
+func (s *selector) add(idx int32, score float64) {
+	c := scored{m: Match{Entry: s.entries[idx], Score: score}, idx: idx}
 	if s.k <= 0 {
 		s.all = append(s.all, c)
 		return
