@@ -13,7 +13,11 @@
 #                        distinct fault on each peer, assert gossip
 #                        convergence, cross-peer diagnosis from the replica,
 #                        and ownership rebalance after killing one peer
-#   make check         — all tiers: test, race, smokes, bench comparison
+#   make surface       — print the code-surface figures: non-test Go lines
+#                        (the invarbench module excluded) and exported
+#                        funcs/methods in non-test files under internal/
+#   make check         — all tiers: test, race, smokes, bench comparison,
+#                        then the surface figures (printed, not gated)
 #
 # The race tier exists because the core is concurrent by design (striped
 # profile registry, supervised monitor goroutines, parallel association
@@ -55,7 +59,7 @@ BENCH_ALLOC_THRESHOLD ?= 0.1
 # it is the retrieval every warm diagnosis pays.
 BENCH_REQUIRE = BenchmarkSignatureMatch/n=10000,BenchmarkSignatureMatch/n=100000,BenchmarkSignatureRank/n=5000
 
-.PHONY: build test vet race check bench bench-compare smoke fleet-smoke fuzz
+.PHONY: build test vet race check bench bench-compare smoke fleet-smoke fuzz surface
 
 build:
 	$(GO) build ./...
@@ -69,7 +73,12 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
-check: test race smoke fleet-smoke bench-compare
+check: test race smoke fleet-smoke bench-compare surface
+
+# Both figures should only ever go down; neither is a gate.
+surface:
+	@echo "non-test Go LOC (excluding invarbench/): $$(find . -name '*.go' ! -name '*_test.go' ! -path './invarbench/*' | xargs cat | wc -l)"
+	@echo "exported funcs/methods under internal/: $$(find internal -name '*.go' ! -name '*_test.go' | xargs grep -hE '^func (\([^)]*\) )?[A-Z]' | wc -l)"
 
 smoke: build
 	$(GO) run ./cmd/invarnetd -smoke -smoke-seconds 3

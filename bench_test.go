@@ -395,7 +395,7 @@ func BenchmarkComputeMatrix(b *testing.B) {
 	}
 	b.Run("assoc-func", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := ComputeAssociationMatrix(rows, MIC); err != nil {
+			if _, err := ComputeAssociationMatrix(rows, MIC, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -406,7 +406,7 @@ func BenchmarkComputeMatrix(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := ComputeAssociationMatrixScored(m, batch); err != nil {
+			if _, err := ComputeAssociationMatrix(rows, nil, batch); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -450,11 +450,12 @@ func BenchmarkDiagnoseSparse(b *testing.B) {
 	rng := NewRNG(9)
 	var runs []*invariant.Matrix
 	for r := 0; r < 4; r++ {
-		batch, err := mic.NewBatch(benchSparseRows(rng.Fork(int64(r)), m, n, coupled, false), mic.DefaultConfig())
+		rows := benchSparseRows(rng.Fork(int64(r)), m, n, coupled, false)
+		batch, err := mic.NewBatch(rows, mic.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
-		mat, err := invariant.ComputeMatrixScored(m, batch)
+		mat, _, err := invariant.ComputeMatrix(rows, nil, nil, batch)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -485,7 +486,7 @@ func BenchmarkDiagnoseSparse(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			mat, err := invariant.ComputeMatrixScored(m, batch)
+			mat, _, err := invariant.ComputeMatrix(probe, nil, nil, batch)
 			if err != nil {
 				b.Fatal(err)
 			}

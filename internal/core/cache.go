@@ -86,21 +86,20 @@ func fingerprintWindow(rows [][]float64, valid [][]bool) uint64 {
 	return h
 }
 
-// reportSalt separates the sparse path's violation-report keys from the
-// dense path's association-matrix keys inside one assocCache: a report is
+// reportSalt separates the diagnosis path's violation-report keys from the
+// training path's association-matrix keys inside one assocCache: a report is
 // stored under fp^reportSalt, so the two entry kinds share the map, the
 // FIFO bound and the hit counters without ever colliding on a fingerprint.
 const reportSalt = 0x9e3779b97f4a7c15
 
-// cacheEntry is one memoised analysis. Dense entries hold the association
-// matrix plus the pair-knowledge mask (nil for a clean, all-known window);
-// sparse entries hold the finished violation report instead, valid only
-// while repSet is still the profile's current invariant set (pointer
-// identity — retraining installs a fresh *Set, invalidating every cached
-// report at once). All cached state is shared across callers and read-only.
+// cacheEntry is one memoised analysis. Training entries hold the
+// association matrix; diagnosis entries hold the finished violation report
+// instead, valid only while repSet is still the profile's current
+// invariant set (pointer identity — retraining installs a fresh *Set,
+// invalidating every cached report at once). All cached state is shared
+// across callers and read-only.
 type cacheEntry struct {
-	mat  *invariant.Matrix
-	mask *invariant.PairMask
+	mat *invariant.Matrix
 
 	rep    *ViolationReport
 	repSet *invariant.Set
@@ -109,8 +108,8 @@ type cacheEntry struct {
 // assocCache memoises window analyses per content fingerprint with FIFO
 // eviction. Each profile owns its cache, so the key needs no context
 // component and cached state never crosses profiles. Cached matrices and
-// masks are shared across callers and must never be mutated — every
-// consumer (Select, ViolationsMasked) only reads.
+// reports are shared across callers and must never be mutated — every
+// consumer (Select, the diagnosis callers) only reads.
 type assocCache struct {
 	mu      sync.Mutex
 	max     int
@@ -195,33 +194,21 @@ func BatchFor(assoc invariant.AssociationFunc) BatchAssociation {
 	return nil
 }
 
-// compute analyses one window uncached: the association matrix plus the
-// pair mask (nil on clean telemetry). Clean windows take the batch path
-// when configured, with structural batch errors (ragged rows, empty window)
-// falling through to the generic path so error reporting stays identical to
-// the unbatched pipeline. Degraded windows run the same masked-first fill,
-// with the batch scorer covering the full-overlap pairs.
-func (p *Profile) compute(rows [][]float64, valid [][]bool, degraded bool) (*invariant.Matrix, *invariant.PairMask, error) {
+// compute fills one window's association matrix uncached, through the
+// batch scorer when configured. Preparation errors (too few samples,
+// non-finite values) just drop the batch tier, so structural errors
+// surface from the fill exactly as in the unbatched pipeline. Degraded
+// windows score 0 on their unknown pairs; training reads the matrix only.
+func (p *Profile) compute(rows [][]float64, valid [][]bool) (*invariant.Matrix, error) {
 	cfg := &p.sys.cfg
-	if !degraded {
-		if cfg.BatchAssoc != nil {
-			if scorer, err := cfg.BatchAssoc(rows); err == nil {
-				mat, err := invariant.ComputeMatrixScored(len(rows), scorer)
-				return mat, nil, err
-			}
-		}
-		mat, err := invariant.ComputeMatrix(rows, cfg.Assoc)
-		return mat, nil, err
-	}
 	var scorer invariant.PairScorer
 	if cfg.BatchAssoc != nil {
-		// Full-overlap pairs score through the batch even on a degraded
-		// window; preparation errors just drop the fast path.
 		if sc, err := cfg.BatchAssoc(rows); err == nil {
 			scorer = sc
 		}
 	}
-	return invariant.ComputeMaskedMatrixScored(rows, valid, cfg.Assoc, scorer, 0)
+	mat, _, err := invariant.ComputeMatrix(rows, valid, cfg.Assoc, scorer)
+	return mat, err
 }
 
 // analyze is compute behind the profile's cache, keyed by the fingerprint
@@ -229,21 +216,20 @@ func (p *Profile) compute(rows [][]float64, valid [][]bool, degraded bool) (*inv
 // pooled window per call; the cache turns those recomputations into
 // lookups — for degraded windows too, which the pre-profile pipeline never
 // cached.
-func (p *Profile) analyze(tr *metrics.Trace) (*invariant.Matrix, *invariant.PairMask, error) {
-	degraded := traceDegraded(tr)
+func (p *Profile) analyze(tr *metrics.Trace) (*invariant.Matrix, error) {
 	if p.cache == nil {
-		return p.compute(tr.Rows, tr.Valid, degraded)
+		return p.compute(tr.Rows, tr.Valid)
 	}
 	fp := fingerprintWindow(tr.Rows, tr.Valid)
 	if e, ok := p.cache.get(fp); ok {
-		return e.mat, e.mask, nil
+		return e.mat, nil
 	}
-	mat, mask, err := p.compute(tr.Rows, tr.Valid, degraded)
+	mat, err := p.compute(tr.Rows, tr.Valid)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	p.cache.put(fp, cacheEntry{mat: mat, mask: mask})
-	return mat, mask, nil
+	p.cache.put(fp, cacheEntry{mat: mat})
+	return mat, nil
 }
 
 // CacheStats reports the profile's association-cache counters and current

@@ -482,33 +482,6 @@ func TestLifecycleCrashMidPromotionRestoresConsistentGeneration(t *testing.T) {
 	}
 }
 
-// TestLifecycleDensePathQuarantines runs the same quarantine flow down the
-// dense reference pipeline (ExactDiagnosis): the lifecycle must behave
-// identically there.
-func TestLifecycleDensePathQuarantines(t *testing.T) {
-	ctx := Context{Workload: "wl", IP: "10.0.0.1"}
-	cfg := lifecycleConfig(t)
-	cfg.ExactDiagnosis = true
-	cfg.AssocCacheSize = -1
-	sys := trainValueSystem(t, cfg, ctx)
-	p := sys.Profile(ctx)
-
-	drifted := []float64{0.8, 0.8, 0.2}
-	for i := 0; i < 12 && p.LifecycleStats().Promotions == 0; i++ {
-		rep, err := p.Violations(valueTrace(drifted, 16, float64(i)*1e-6))
-		if err != nil {
-			t.Fatalf("drifted window %d: %v", i, err)
-		}
-		if p.LifecycleStats().Quarantined > 0 && len(rep.Violated) != 0 {
-			t.Fatalf("dense path reported quarantined edges as violated: %v", rep.Violated)
-		}
-	}
-	st := p.LifecycleStats()
-	if st.Promotions != 1 || st.Generation != 2 {
-		t.Fatalf("dense path lifecycle stats %+v, want a promotion", st)
-	}
-}
-
 // TestPromotionDiagnoseRaceConsistency is the generation-consistency race
 // test: diagnoses run concurrently with generation swaps (retrains of
 // different sizes plus lifecycle promotions), and every diagnosis must be

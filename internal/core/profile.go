@@ -130,7 +130,7 @@ func (p *Profile) trainInvariants(errCtx Context, runs []*metrics.Trace) error {
 	// turns all but the newly added windows into lookups.
 	mats := make([]*invariant.Matrix, 0, len(pool))
 	for _, run := range pool {
-		m, _, err := p.analyze(run)
+		m, err := p.analyze(run)
 		if err != nil {
 			return fmt.Errorf("core: association matrix for %v: %w", errCtx, err)
 		}
@@ -234,70 +234,14 @@ func (p *Profile) violations(errCtx Context, abnormal *metrics.Trace) (*Violatio
 	return p.violationsHinted(errCtx, abnormal, nil)
 }
 
-// violationsHinted dispatches between the sparse hot path (default) and the
-// dense reference pipeline (Config.ExactDiagnosis). Both produce identical
-// reports; the hint only ever accelerates the sparse path.
+// violationsHinted runs the sparse edge walk over the profile's current
+// invariant set; the hint only ever accelerates it.
 func (p *Profile) violationsHinted(errCtx Context, abnormal *metrics.Trace, hint *WindowHint) (*ViolationReport, error) {
 	set, err := p.invariantsFor(errCtx)
 	if err != nil {
 		return nil, err
 	}
-	if p.sys.cfg.ExactDiagnosis {
-		return p.violationsDense(set, abnormal)
-	}
 	return p.violationsSparse(set, abnormal, hint)
-}
-
-// violationsDense is the reference pipeline: full association matrix
-// (through the profile's matrix cache) plus ViolationsMasked over the set.
-func (p *Profile) violationsDense(set *invariant.Set, abnormal *metrics.Trace) (*ViolationReport, error) {
-	mat, mask, err := p.analyze(abnormal)
-	if err != nil {
-		return nil, err
-	}
-	raw, known, err := set.ViolationsMasked(mat, p.sys.cfg.Epsilon, mask)
-	if err != nil {
-		return nil, err
-	}
-	// surface is the known mask the report shows: nil on a clean window
-	// (ViolationsMasked's known is then all-true), possibly materialised by
-	// the lifecycle when quarantined edges must read as unknown.
-	var surface []bool
-	if mask != nil {
-		surface = known
-	}
-	if p.lc != nil {
-		pairs := set.SortedPairs()
-		score := func(k int) (float64, bool) {
-			pr := pairs[k]
-			if mask != nil && !mask.OK(pr.I, pr.J) {
-				return 0, false
-			}
-			return mat.Get(pr.I, pr.J), true
-		}
-		raw, surface = p.lifecyclePost(set, raw, surface, score)
-	}
-	rep := &ViolationReport{Tuple: signature.Tuple(raw), Coverage: 1, set: set}
-	if surface != nil {
-		// Degraded window (or quarantined edges): surface the known mask
-		// and the checkable fraction.
-		rep.Known = surface
-		checkable := 0
-		for _, ok := range surface {
-			if ok {
-				checkable++
-			}
-		}
-		if len(surface) > 0 {
-			rep.Coverage = float64(checkable) / float64(len(surface))
-		}
-	}
-	for k, pr := range set.SortedPairs() {
-		if raw[k] && (surface == nil || surface[k]) {
-			rep.Violated = append(rep.Violated, pr)
-		}
-	}
-	return rep, nil
 }
 
 // BuildSignature records the violation tuple of an investigated problem in
@@ -401,6 +345,13 @@ func (p *Profile) diagnoseHinted(errCtx Context, abnormal *metrics.Trace, hint *
 	if err != nil {
 		return nil, err
 	}
+	return p.diagnoseReport(errCtx, rep)
+}
+
+// diagnoseReport turns a violation report into the diagnosis: hints,
+// unknown invariants and the root causes ranked against the profile's
+// signatures.
+func (p *Profile) diagnoseReport(errCtx Context, rep *ViolationReport) (*Diagnosis, error) {
 	diag := &Diagnosis{Context: errCtx, Tuple: rep.Tuple, Known: rep.Known, Coverage: rep.Coverage}
 	for _, pr := range rep.Violated {
 		diag.Hints = append(diag.Hints, p.pairLabel(pr))
@@ -409,15 +360,9 @@ func (p *Profile) diagnoseHinted(errCtx Context, abnormal *metrics.Trace, hint *
 		// Name unknown pairs against the set the report was computed with,
 		// not a re-read of the live one: a retrain or shadow promotion
 		// mid-diagnosis must not mix two generations in one verdict.
-		set := rep.set
-		if set == nil {
-			if set, err = p.invariantsFor(errCtx); err != nil {
-				return nil, err
-			}
-		}
 		for k, ok := range rep.Known {
 			if !ok {
-				diag.Unknown = append(diag.Unknown, p.pairLabel(set.SortedPairs()[k]))
+				diag.Unknown = append(diag.Unknown, p.pairLabel(rep.set.SortedPairs()[k]))
 			}
 		}
 	}

@@ -47,7 +47,7 @@ func TestCleanWindowDiagnosisPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat, err := invariant.ComputeMatrixScored(len(rows), scorer)
+		mat, _, err := invariant.ComputeMatrix(rows, nil, nil, scorer)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
 	"invarnetx/internal/signature"
@@ -14,8 +12,9 @@ import (
 // window fingerprint, salted into the profile's assocCache), the prescreen
 // lower bound over each trained pair (invariant.Prescreener), and the exact
 // association only for the pairs the screen cannot certify. Verdicts are
-// identical to the dense pipeline's (the prescreen certificate is
-// one-sided); Config.ExactDiagnosis forces the dense reference path.
+// identical to a full association-matrix fill + Violations (the prescreen
+// certificate is one-sided), which the equivalence tests keep as their
+// oracle.
 
 // WindowHint carries serving-layer reuse state into one diagnosis call.
 // Both fields are optional; a nil hint (or zero value) makes DiagnoseHinted
@@ -48,34 +47,6 @@ type SparseStats struct {
 	Skipped  int64
 }
 
-// funcScorer adapts the per-pair association function to the PairScorer
-// shape for the sparse edge loop when no batch form exists.
-type funcScorer struct {
-	rows  [][]float64
-	assoc invariant.AssociationFunc
-}
-
-func (f funcScorer) Score(i, j int) float64 { return f.assoc(f.rows[i], f.rows[j]) }
-
-// checkWindow validates the window shape against the invariant set before
-// the sparse edge loop (the dense path's equivalents live inside
-// ComputeMatrix and ViolationsMasked).
-func checkWindow(rows [][]float64, m int) error {
-	if len(rows) != m {
-		return fmt.Errorf("core: %d metric rows, invariant set dimension %d", len(rows), m)
-	}
-	if m == 0 {
-		return fmt.Errorf("core: empty window")
-	}
-	n := len(rows[0])
-	for i, r := range rows {
-		if len(r) != n {
-			return fmt.Errorf("core: metric %d has %d samples, want %d", i, len(r), n)
-		}
-	}
-	return nil
-}
-
 // violationsSparse computes the violation report over the trained edges
 // only. The returned report may be shared with the profile's cache and
 // other callers — strictly read-only.
@@ -101,9 +72,6 @@ func (p *Profile) violationsSparse(set *invariant.Set, tr *metrics.Trace, hint *
 			return e.rep, nil
 		}
 	}
-	if err := checkWindow(tr.Rows, set.M); err != nil {
-		return nil, err
-	}
 	cfg := &p.sys.cfg
 	var scorer invariant.PairScorer
 	if hint != nil && hint.Scorer != nil {
@@ -111,41 +79,30 @@ func (p *Profile) violationsSparse(set *invariant.Set, tr *metrics.Trace, hint *
 	}
 	if scorer == nil && cfg.BatchAssoc != nil {
 		// Preparation errors (too few samples, non-finite values) drop the
-		// batch tier, exactly as in the dense compute path.
+		// batch tier, exactly as in the training fill.
 		if sc, err := cfg.BatchAssoc(tr.Rows); err == nil {
 			scorer = sc
 		}
 	}
-	degraded := traceDegraded(tr)
-	var (
-		raw, known []bool
-		st         invariant.EdgeStats
-		err        error
-	)
-	if degraded {
-		raw, known, st, err = set.ComputeEdgesMasked(tr.Rows, tr.Valid, cfg.Assoc, scorer, 0, cfg.Epsilon)
-	} else {
-		if scorer == nil {
-			scorer = funcScorer{rows: tr.Rows, assoc: cfg.Assoc}
-		}
-		raw, st, err = set.ComputeEdgesScored(scorer, cfg.Epsilon)
-	}
+	raw, known, st, err := set.ComputeEdgesMasked(tr.Rows, tr.Valid, cfg.Assoc, scorer, cfg.Epsilon)
 	if err != nil {
 		return nil, err
 	}
 	if p.lc != nil {
 		// Drift lifecycle: health over the raw verdicts, shadow
 		// re-estimation from exact scores, quarantine masking. Shadow
-		// candidates judge themselves on clean windows only — on the
-		// degraded path no whole-window scorer is valid, so those windows
-		// observe health without re-estimating.
+		// candidates judge themselves on clean windows only (known nil) —
+		// on a degraded window no whole-window score is valid, so those
+		// windows observe health without re-estimating.
 		var score func(k int) (float64, bool)
-		if !degraded && scorer != nil {
+		if known == nil {
 			pairs := set.SortedPairs()
-			sc := scorer
 			score = func(k int) (float64, bool) {
 				pr := pairs[k]
-				return sc.Score(pr.I, pr.J), true
+				if scorer != nil {
+					return scorer.Score(pr.I, pr.J), true
+				}
+				return cfg.Assoc(tr.Rows[pr.I], tr.Rows[pr.J]), true
 			}
 		}
 		raw, known = p.lifecyclePost(set, raw, known, score)

@@ -7,6 +7,7 @@ import (
 
 	"invarnetx/internal/invariant"
 	"invarnetx/internal/metrics"
+	"invarnetx/internal/signature"
 	"invarnetx/internal/stats"
 )
 
@@ -32,38 +33,80 @@ func maskTicks(rng *stats.RNG, tr *metrics.Trace, drop float64, outage int) *met
 	return out
 }
 
+// denseReport is the dense reference pipeline, kept as the oracle of the
+// sparse diagnosis path: the full association-matrix fill (batch scorer
+// when configured, as in training), Violations over the set, then the pair
+// mask — unknown pairs read neither holding nor violated, and a clean
+// window is the all-known case (nil Known, Coverage 1).
+func denseReport(p *Profile, set *invariant.Set, tr *metrics.Trace) (*ViolationReport, error) {
+	cfg := p.sys.cfg
+	var scorer invariant.PairScorer
+	if cfg.BatchAssoc != nil {
+		if sc, err := cfg.BatchAssoc(tr.Rows); err == nil {
+			scorer = sc
+		}
+	}
+	mat, mask, err := invariant.ComputeMatrix(tr.Rows, tr.Valid, cfg.Assoc, scorer)
+	if err != nil {
+		return nil, err
+	}
+	raw, err := set.Violations(mat, cfg.Epsilon)
+	if err != nil {
+		return nil, err
+	}
+	rep := &ViolationReport{Tuple: signature.Tuple(raw), Coverage: 1, set: set}
+	pairs := set.SortedPairs()
+	if mask != nil {
+		rep.Known = make([]bool, len(raw))
+		checkable := 0
+		for k, pr := range pairs {
+			if rep.Known[k] = mask.OK(pr.I, pr.J); rep.Known[k] {
+				checkable++
+			} else {
+				raw[k] = false
+			}
+		}
+		if len(raw) > 0 {
+			rep.Coverage = float64(checkable) / float64(len(raw))
+		}
+	}
+	for k, pr := range pairs {
+		if raw[k] {
+			rep.Violated = append(rep.Violated, pr)
+		}
+	}
+	return rep, nil
+}
+
 // TestSparseMatchesExactProperty: over random clean, faulted and degraded
-// windows, the default sparse tiered path must produce byte-identical
+// windows, the production sparse tiered path must produce byte-identical
 // violation reports and diagnoses (tuple, known flags, coverage, causes,
-// confidence) to the ExactDiagnosis dense reference pipeline.
+// confidence) to the dense reference oracle, whose report is ranked through
+// the same signature database.
 func TestSparseMatchesExactProperty(t *testing.T) {
 	ctx := Context{Workload: "wordcount", IP: "10.0.0.2"}
-	exactCfg := DefaultConfig()
-	exactCfg.ExactDiagnosis = true
 	sp := trainSystem(t, DefaultConfig(), ctx, 900)
-	ex := trainSystem(t, exactCfg, ctx, 900)
-	spSet, err := sp.Invariants(ctx)
+	p := sp.Profile(ctx)
+	set, err := sp.Invariants(ctx)
 	if err != nil {
 		t.Fatal(err)
-	}
-	exSet, err := ex.Invariants(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(spSet.SortedPairs(), exSet.SortedPairs()) {
-		t.Fatal("identical training produced different invariant sets")
 	}
 
 	rng := stats.NewRNG(901)
-	// Seed identical signatures through each system's own pipeline: the
-	// sparse system's stored tuples must already match the dense system's.
+	// Seed signatures through the production pipeline: every stored tuple
+	// must already match the oracle's.
 	for i, prob := range []string{"cpu-hog", "mem-hog", "disk-hog"} {
 		abn := synthTrace(rng.Fork(int64(50+i)), 30, 8, map[int]bool{i: true, i + 1: true})
-		if err := sp.BuildSignature(ctx, prob, abn); err != nil {
+		entry, _, err := sp.BuildSignatureEntry(ctx, prob, abn)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ex.BuildSignature(ctx, prob, abn); err != nil {
+		want, err := denseReport(p, set, abn)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(entry.Tuple, want.Tuple) {
+			t.Errorf("%s: stored signature %v != oracle tuple %v", prob, entry.Tuple, want.Tuple)
 		}
 	}
 
@@ -83,7 +126,7 @@ func TestSparseMatchesExactProperty(t *testing.T) {
 			tr.Rows[rep%metrics.Count][5] = math.NaN()
 		}
 		vSp, errSp := sp.Violations(ctx, tr)
-		vEx, errEx := ex.Violations(ctx, tr)
+		vEx, errEx := denseReport(p, set, tr)
 		if (errSp == nil) != (errEx == nil) {
 			t.Fatalf("rep %d: sparse err %v, exact err %v", rep, errSp, errEx)
 		}
@@ -97,7 +140,7 @@ func TestSparseMatchesExactProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dEx, err := ex.Diagnose(ctx, tr)
+		dEx, err := p.diagnoseReport(ctx, vEx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,9 +151,6 @@ func TestSparseMatchesExactProperty(t *testing.T) {
 
 	if st := sp.SparseStats(); st.Screened == 0 {
 		t.Error("prescreen never certified a pair across the property windows")
-	}
-	if st := ex.SparseStats(); st != (SparseStats{}) {
-		t.Errorf("exact pipeline advanced sparse counters: %+v", st)
 	}
 	if entries, _ := sp.SignatureScanStats(); entries == 0 {
 		t.Error("signature scan counters never advanced")

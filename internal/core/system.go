@@ -94,15 +94,6 @@ type Config struct {
 	// false, a single global profile and an unscoped signature search are
 	// used — the "InvarNet-X (no operation context)" ablation.
 	UseContext bool
-	// ExactDiagnosis forces Violations/Diagnose down the reference dense
-	// pipeline: full association matrix, no prescreen, no report caching.
-	// The default sparse path evaluates only the trained invariant edges
-	// with a conservative prescreen in front of the exact computation;
-	// it produces identical verdicts (the prescreen certificate is
-	// one-sided, pinned by the equivalence tests), so this switch exists as
-	// an operational escape hatch and as the reference arm of those tests,
-	// not because the answers differ.
-	ExactDiagnosis bool
 	// Lifecycle configures the drift-aware invariant lifecycle (edge
 	// health, quarantine, shadow generations); disabled by default —
 	// train-once behaviour — and enabled explicitly by long-running
@@ -397,23 +388,6 @@ func (s *System) Violations(ctx Context, abnormal *metrics.Trace) (*ViolationRep
 		return nil, fmt.Errorf("%w: %v", ErrNoInvariants, ctx)
 	}
 	return p.violations(ctx, abnormal)
-}
-
-// traceDegraded reports whether the abnormal window needs pair masking: it
-// carries a validity mask, or raw non-finite samples (telemetry gaps stored
-// as NaN without a mask).
-func traceDegraded(tr *metrics.Trace) bool {
-	if tr.Masked() {
-		return true
-	}
-	for _, row := range tr.Rows {
-		for _, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // BuildSignature records the violation tuple of an investigated problem in

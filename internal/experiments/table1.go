@@ -171,21 +171,17 @@ func (r *Runner) runTable1Row(w workload.Type) (*Table1Row, error) {
 
 // trainInvariants builds matrices for every window and selects invariants.
 // A non-nil batch scores pairs with shared per-metric preprocessing; a batch
-// that fails structurally falls back to the per-pair assoc, mirroring core.
+// that fails to prepare falls back to the per-pair assoc, mirroring core.
 func trainInvariants(windows []*metrics.Trace, tau float64, assoc invariant.AssociationFunc, batch core.BatchAssociation) (*invariant.Set, error) {
 	mats := make([]*invariant.Matrix, 0, len(windows))
 	for _, win := range windows {
-		var m *invariant.Matrix
-		var err error
+		var scorer invariant.PairScorer
 		if batch != nil {
-			if scorer, berr := batch(win.Rows); berr == nil {
-				m, err = invariant.ComputeMatrixScored(len(win.Rows), scorer)
-			} else {
-				m, err = invariant.ComputeMatrix(win.Rows, assoc)
+			if sc, err := batch(win.Rows); err == nil {
+				scorer = sc
 			}
-		} else {
-			m, err = invariant.ComputeMatrix(win.Rows, assoc)
 		}
+		m, _, err := invariant.ComputeMatrix(win.Rows, win.Valid, assoc, scorer)
 		if err != nil {
 			return nil, err
 		}

@@ -79,19 +79,67 @@ type PairScorer interface {
 	Score(i, j int) float64
 }
 
-// validateRows checks the metric rows share one length and returns (m, n).
-func validateRows(rows [][]float64) (m, n int, err error) {
-	m = len(rows)
-	if m < 2 {
-		return 0, 0, fmt.Errorf("invariant: need >= 2 metrics, got %d", m)
+// checkWindow validates a window for the matrix fill or the edge walk: the
+// metric rows share one length, the validity mask (when present) matches
+// them row for row, and assoc is present unless scorer alone can cover the
+// window. It reports whether the window is clean — no validity mask and
+// every sample finite. A clean window scores every pair over the raw rows;
+// anything else runs the per-pair overlap path.
+func checkWindow(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer) (isClean bool, err error) {
+	if len(rows) == 0 {
+		return false, fmt.Errorf("invariant: empty window")
 	}
-	n = len(rows[0])
+	n := len(rows[0])
 	for i, r := range rows {
 		if len(r) != n {
-			return 0, 0, fmt.Errorf("invariant: metric %d has %d samples, want %d", i, len(r), n)
+			return false, fmt.Errorf("invariant: metric %d has %d samples, want %d", i, len(r), n)
 		}
 	}
-	return m, n, nil
+	if valid != nil {
+		if len(valid) != len(rows) {
+			return false, fmt.Errorf("invariant: %d mask rows for %d metrics", len(valid), len(rows))
+		}
+		for i, v := range valid {
+			if len(v) != n {
+				return false, fmt.Errorf("invariant: mask row %d has %d samples, want %d", i, len(v), n)
+			}
+		}
+	}
+	isClean = valid == nil
+	for i := 0; isClean && i < len(rows); i++ {
+		for _, v := range rows[i] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				isClean = false
+				break
+			}
+		}
+	}
+	if assoc == nil && (scorer == nil || !isClean) {
+		return false, errors.New("invariant: no association function for a window the scorer cannot cover")
+	}
+	return isClean, nil
+}
+
+// usableRow flags the ticks of metric i that exist and are finite (nil
+// valid means every tick is genuine).
+func usableRow(rows [][]float64, valid [][]bool, i int) []bool {
+	u := make([]bool, len(rows[i]))
+	for t, v := range rows[i] {
+		u[t] = !math.IsNaN(v) && !math.IsInf(v, 0) && (valid == nil || valid[i][t])
+	}
+	return u
+}
+
+// overlap appends to xs, ys the samples of metrics i and j at the ticks
+// both have usable.
+func overlap(rows [][]float64, ui, uj []bool, i, j int, xs, ys []float64) ([]float64, []float64) {
+	for t := range ui {
+		if ui[t] && uj[t] {
+			xs = append(xs, rows[i][t])
+			ys = append(ys, rows[j][t])
+		}
+	}
+	return xs, ys
 }
 
 // rowOffset returns the flat upper-triangle index of pair (i, i+1): row i
@@ -161,40 +209,6 @@ func forEachPair(m int, newWorker func() func(i, j int)) {
 	wg.Wait()
 }
 
-// ComputeMatrix builds the association matrix of the given metric rows
-// (rows[m] is the time series of metric m; all rows must share a length)
-// using assoc. This is the paper's "simple but exhaustive pair-wise search".
-// The pairwise computations are independent; at M=26 metrics this is 325
-// MIC dynamic programmes per run — the dominant cost of offline training
-// (Table 1, Invar-C column) — so they are fanned out pair-by-pair.
-func ComputeMatrix(rows [][]float64, assoc AssociationFunc) (*Matrix, error) {
-	m, _, err := validateRows(rows)
-	if err != nil {
-		return nil, err
-	}
-	a := NewMatrix(m)
-	forEachPair(m, func() func(i, j int) {
-		return func(i, j int) { a.Set(i, j, assoc(rows[i], rows[j])) }
-	})
-	return a, nil
-}
-
-// ComputeMatrixScored builds the association matrix from a pair scorer over
-// m metrics — typically a mic.Batch, whose shared per-metric preprocessing
-// makes each Score call skip the sorting and partitioning work that an
-// AssociationFunc repeats on every call. Scheduling is identical to
-// ComputeMatrix: individual pairs over a bounded worker pool.
-func ComputeMatrixScored(m int, scorer PairScorer) (*Matrix, error) {
-	if m < 2 {
-		return nil, fmt.Errorf("invariant: need >= 2 metrics, got %d", m)
-	}
-	a := NewMatrix(m)
-	forEachPair(m, func() func(i, j int) {
-		return func(i, j int) { a.Set(i, j, scorer.Score(i, j)) }
-	})
-	return a, nil
-}
-
 // Pair identifies a metric pair, I < J.
 type Pair struct {
 	I, J int
@@ -252,60 +266,59 @@ func (k *PairMask) KnownCount() int {
 	return n
 }
 
-// ComputeMaskedMatrix builds the association matrix of metric rows whose
-// samples may be missing or corrupt. valid[m][t] false excludes tick t from
-// every pair involving metric m (nil valid means all samples genuine); any
-// residual non-finite value is excluded defensively as well. A pair is
-// computable only when at least minSamples ticks survive for both metrics
-// (minSamples <= 0 selects DefaultMinSamples); other pairs score 0 and are
-// reported unknown in the returned mask.
-func ComputeMaskedMatrix(rows [][]float64, valid [][]bool, assoc AssociationFunc, minSamples int) (*Matrix, *PairMask, error) {
-	return ComputeMaskedMatrixScored(rows, valid, assoc, nil, minSamples)
-}
-
-// ComputeMaskedMatrixScored is ComputeMaskedMatrix with a batch fast path:
-// a pair whose samples are all usable (full overlap) is scored through
-// scorer — typically a mic.Batch prepared once over the raw rows, sharing
-// each metric's sort/partition work — instead of a per-pair assoc call over
-// a compacted copy. Pairs with partial overlap still compact the surviving
-// ticks and fall back to assoc, since the scorer's preprocessing covers the
-// full rows only. A nil scorer sends every pair down the assoc path,
-// reducing to ComputeMaskedMatrix exactly.
-func ComputeMaskedMatrixScored(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, minSamples int) (*Matrix, *PairMask, error) {
-	m, n, err := validateRows(rows)
+// ComputeMatrix builds the association matrix of the metric rows (rows[m]
+// is the time series of metric m; all rows share a length). This is the
+// paper's "simple but exhaustive pair-wise search" — at M=26 metrics, 325
+// MIC dynamic programmes per run, the dominant cost of offline training
+// (Table 1, Invar-C column) — so pairs are fanned out individually over a
+// bounded worker pool.
+//
+// On a clean window (nil valid, every sample finite) each pair is scored
+// through scorer when one is given — typically a mic.Batch, whose shared
+// per-metric preprocessing spares every pair the sorting and partitioning
+// an AssociationFunc repeats — and through assoc over the raw rows
+// otherwise; the returned mask is nil (every pair known).
+//
+// Any other window may have missing or corrupt samples: valid[m][t] false
+// excludes tick t from every pair involving metric m, and a non-finite
+// value is excluded likewise. A pair is computable only when at least
+// DefaultMinSamples ticks survive for both metrics; other pairs score 0
+// and are unknown in the returned mask. A computable pair whose every tick
+// survived still rides scorer; a partial-overlap pair compacts the
+// surviving ticks through assoc, since the scorer's preprocessing covers
+// the full rows only. assoc may be nil only for a clean window scored
+// through scorer.
+func ComputeMatrix(rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer) (*Matrix, *PairMask, error) {
+	if len(rows) < 2 {
+		return nil, nil, fmt.Errorf("invariant: need >= 2 metrics, got %d", len(rows))
+	}
+	isClean, err := checkWindow(rows, valid, assoc, scorer)
 	if err != nil {
 		return nil, nil, err
 	}
-	if valid != nil && len(valid) != m {
-		return nil, nil, fmt.Errorf("invariant: %d mask rows for %d metrics", len(valid), m)
+	m, n := len(rows), len(rows[0])
+	a := NewMatrix(m)
+	if isClean {
+		forEachPair(m, func() func(i, j int) {
+			if scorer != nil {
+				return func(i, j int) { a.Set(i, j, scorer.Score(i, j)) }
+			}
+			return func(i, j int) { a.Set(i, j, assoc(rows[i], rows[j])) }
+		})
+		return a, nil, nil
 	}
-	if minSamples <= 0 {
-		minSamples = DefaultMinSamples
-	}
-	// usable[m][t]: the sample exists and is finite.
 	usable := make([][]bool, m)
 	for i := range rows {
-		u := make([]bool, n)
-		for t, v := range rows[i] {
-			u[t] = !math.IsNaN(v) && !math.IsInf(v, 0) && (valid == nil || valid[i][t])
-		}
-		usable[i] = u
+		usable[i] = usableRow(rows, valid, i)
 	}
-	a := NewMatrix(m)
 	mask := NewPairMask(m, false)
 	forEachPair(m, func() func(i, j int) {
 		// Per-worker overlap buffers, reused across the worker's pairs.
 		xs := make([]float64, 0, n)
 		ys := make([]float64, 0, n)
 		return func(i, j int) {
-			xs, ys = xs[:0], ys[:0]
-			for t := 0; t < n; t++ {
-				if usable[i][t] && usable[j][t] {
-					xs = append(xs, rows[i][t])
-					ys = append(ys, rows[j][t])
-				}
-			}
-			if len(xs) < minSamples {
+			xs, ys = overlap(rows, usable[i], usable[j], i, j, xs[:0], ys[:0])
+			if len(xs) < DefaultMinSamples {
 				return // unknown: mask stays false, score stays 0
 			}
 			if scorer != nil && len(xs) == n {
@@ -430,56 +443,12 @@ func (s *Set) Violations(abnormal *Matrix, epsilon float64) ([]bool, error) {
 	return out, nil
 }
 
-// violatedVerdict is the single violation test shared by the dense and
-// sparse paths: |base − score| ≥ epsilon, with a small slack making the
-// comparison robust to floating-point representation of differences that
-// are exactly epsilon. Keeping it in one place is what lets the sparse edge
-// path (sparse.go) guarantee verdict-identical results.
+// violatedVerdict is the single violation test shared by Violations and the
+// edge walk (sparse.go): |base − score| ≥ epsilon, with a small slack making
+// the comparison robust to floating-point representation of differences
+// that are exactly epsilon. Keeping it in one place is what lets the edge
+// walk guarantee verdicts identical to a full matrix fill + Violations.
 func violatedVerdict(base, score, epsilon float64) bool {
 	const slack = 1e-9
 	return math.Abs(base-score) >= epsilon-slack
-}
-
-// ViolationsMasked is Violations under a degraded telemetry window: pairs
-// the mask marks uncomputable are reported as *unknown* — not violated —
-// via the parallel known slice (known[k] false ⇒ tuple[k] false). A nil
-// mask makes every pair known, reducing to Violations.
-func (s *Set) ViolationsMasked(abnormal *Matrix, epsilon float64, mask *PairMask) (tuple []bool, known []bool, err error) {
-	if abnormal.M != s.M {
-		return nil, nil, fmt.Errorf("invariant: matrix dimension %d, invariant set dimension %d", abnormal.M, s.M)
-	}
-	if mask != nil && mask.M != s.M {
-		return nil, nil, fmt.Errorf("invariant: mask dimension %d, invariant set dimension %d", mask.M, s.M)
-	}
-	if epsilon <= 0 {
-		epsilon = DefaultEpsilon
-	}
-	tuple = make([]bool, len(s.pairs))
-	known = make([]bool, len(s.pairs))
-	for k, p := range s.pairs {
-		if mask != nil && !mask.OK(p.I, p.J) {
-			continue // unknown: both flags stay false
-		}
-		known[k] = true
-		if violatedVerdict(s.Base[p], abnormal.Get(p.I, p.J), epsilon) {
-			tuple[k] = true
-		}
-	}
-	return tuple, known, nil
-}
-
-// ViolatedPairs returns the pairs whose invariants the abnormal matrix
-// violates — the "hints" InvarNet-X reports for unknown problems.
-func (s *Set) ViolatedPairs(abnormal *Matrix, epsilon float64) ([]Pair, error) {
-	tuple, err := s.Violations(abnormal, epsilon)
-	if err != nil {
-		return nil, err
-	}
-	var out []Pair
-	for k, v := range tuple {
-		if v {
-			out = append(out, s.pairs[k])
-		}
-	}
-	return out, nil
 }

@@ -59,7 +59,7 @@ func TestComputeMatrix(t *testing.T) {
 		y[i] = 2*x[i] + rng.Normal(0, 0.01)
 		z[i] = rng.Normal(0, 1)
 	}
-	a, err := ComputeMatrix([][]float64{x, y, z}, mic.MIC)
+	a, _, err := ComputeMatrix([][]float64{x, y, z}, nil, mic.MIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,10 +72,10 @@ func TestComputeMatrix(t *testing.T) {
 }
 
 func TestComputeMatrixErrors(t *testing.T) {
-	if _, err := ComputeMatrix([][]float64{{1, 2}}, mic.MIC); err == nil {
+	if _, _, err := ComputeMatrix([][]float64{{1, 2}}, nil, mic.MIC, nil); err == nil {
 		t.Error("single metric should error")
 	}
-	if _, err := ComputeMatrix([][]float64{{1, 2}, {1}}, mic.MIC); err == nil {
+	if _, _, err := ComputeMatrix([][]float64{{1, 2}, {1}}, nil, mic.MIC, nil); err == nil {
 		t.Error("ragged rows should error")
 	}
 }
@@ -146,12 +146,8 @@ func TestViolations(t *testing.T) {
 	if !tuple[0] || tuple[1] {
 		t.Errorf("tuple = %v, want [true false]", tuple)
 	}
-	violated, err := s.ViolatedPairs(ab, 0.2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(violated) != 1 || violated[0] != (Pair{0, 1}) {
-		t.Errorf("violated pairs = %v", violated)
+	if p := s.SortedPairs()[0]; p != (Pair{0, 1}) {
+		t.Errorf("violated coordinate 0 is pair %v, want (0,1)", p)
 	}
 }
 
@@ -253,11 +249,11 @@ func TestComputeMatrixDeterministicUnderParallelism(t *testing.T) {
 			rows[i][j] = rng.Float64()
 		}
 	}
-	a, err := ComputeMatrix(rows, mic.MIC)
+	a, _, err := ComputeMatrix(rows, nil, mic.MIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ComputeMatrix(rows, mic.MIC)
+	b, _, err := ComputeMatrix(rows, nil, mic.MIC, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

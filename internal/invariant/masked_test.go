@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -40,23 +41,72 @@ func TestComputeMaskedMatrixNilMask(t *testing.T) {
 		{2, 4, 6, 8, 10, 12, 14, 16, 18, 20},
 		{5, 5, 5, 5, 5, 5, 5, 5, 5, 5},
 	}
-	a, mask, err := ComputeMaskedMatrix(rows, nil, testAssoc, 8)
+	// A clean window (nil mask, finite samples) is the all-known case: no
+	// pair mask at all, every pair scored over the raw rows.
+	want, mask, err := ComputeMatrix(rows, nil, testAssoc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mask != nil {
+		t.Fatalf("clean window returned a pair mask with %d known pairs", mask.KnownCount())
+	}
+	// An explicit all-true mask takes the overlap path and must agree.
+	valid := make([][]bool, len(rows))
+	for i := range valid {
+		valid[i] = make([]bool, len(rows[i]))
+		for t := range valid[i] {
+			valid[i][t] = true
+		}
+	}
+	a, mask, err := ComputeMatrix(rows, valid, testAssoc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mask.KnownCount() != 3 {
 		t.Fatalf("all pairs should be known, got %d", mask.KnownCount())
 	}
-	want, err2 := ComputeMatrix(rows, testAssoc)
-	if err2 != nil {
-		t.Fatal(err2)
-	}
 	for i := 0; i < 3; i++ {
 		for j := i + 1; j < 3; j++ {
+			if want.Get(i, j) != testAssoc(rows[i], rows[j]) {
+				t.Fatalf("clean(%d,%d)=%v, assoc=%v", i, j, want.Get(i, j), testAssoc(rows[i], rows[j]))
+			}
 			if a.Get(i, j) != want.Get(i, j) {
 				t.Fatalf("masked(%d,%d)=%v, unmasked=%v", i, j, a.Get(i, j), want.Get(i, j))
 			}
 		}
+	}
+}
+
+// TestComputeMatrixMaskShapeErrors: a validity mask must match the metric
+// rows row for row — a ragged mask row is rejected, not indexed past its
+// end — and a window the scorer cannot cover needs an association function.
+func TestComputeMatrixMaskShapeErrors(t *testing.T) {
+	const n = 12
+	rows := make([][]float64, 3)
+	valid := make([][]bool, 3)
+	for m := range rows {
+		rows[m] = make([]float64, n)
+		valid[m] = make([]bool, n)
+		for t := 0; t < n; t++ {
+			rows[m][t] = float64(t * (m + 1))
+			valid[m][t] = true
+		}
+	}
+	ragged := [][]bool{valid[0], {true, true, true}, valid[2]}
+	if _, _, err := ComputeMatrix(rows, ragged, testAssoc, nil); err == nil {
+		t.Error("ragged mask row should error")
+	}
+	if _, _, err := ComputeMatrix(rows, valid[:2], testAssoc, nil); err == nil {
+		t.Error("mask row count mismatch should error")
+	}
+	if _, _, err := ComputeMatrix(rows, nil, nil, nil); err == nil {
+		t.Error("neither scorer nor assoc should error")
+	}
+	if _, _, err := ComputeMatrix(rows, valid, nil, pairSum{}); err == nil {
+		t.Error("masked window without assoc should error")
+	}
+	if _, _, err := ComputeMatrix(rows, nil, nil, pairSum{}); err != nil {
+		t.Errorf("clean window scored by scorer alone: %v", err)
 	}
 }
 
@@ -76,7 +126,7 @@ func TestComputeMaskedMatrixUnknownPairs(t *testing.T) {
 	for t := 0; t < n-3; t++ {
 		valid[2][t] = false
 	}
-	a, mask, err := ComputeMaskedMatrix(rows, valid, testAssoc, 8)
+	a, mask, err := ComputeMatrix(rows, valid, testAssoc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,14 +151,14 @@ func TestComputeMaskedMatrixNaNExcluded(t *testing.T) {
 		}
 	}
 	rows[0][3] = math.NaN() // no mask, but NaN must still be excluded
-	a, mask, err := ComputeMaskedMatrix(rows, nil, func(x, y []float64) float64 {
+	a, mask, err := ComputeMatrix(rows, nil, func(x, y []float64) float64 {
 		for _, v := range append(append([]float64(nil), x...), y...) {
 			if math.IsNaN(v) {
 				t.Fatal("NaN reached the association function")
 			}
 		}
 		return 1
-	}, 8)
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,14 +167,18 @@ func TestComputeMaskedMatrixNaNExcluded(t *testing.T) {
 	}
 }
 
-// countingScorer records which pairs it was asked to score.
+// countingScorer records which pairs it was asked to score. The matrix
+// fill calls Score from its worker goroutines, so the record is locked.
 type countingScorer struct {
 	rows   [][]float64
+	mu     sync.Mutex
 	scored map[Pair]bool
 }
 
 func (c *countingScorer) Score(i, j int) float64 {
+	c.mu.Lock()
 	c.scored[Pair{i, j}] = true
+	c.mu.Unlock()
 	return testAssoc(c.rows[i], c.rows[j])
 }
 
@@ -142,12 +196,12 @@ func TestComputeMaskedMatrixScored(t *testing.T) {
 	}
 	valid[3][0] = false // metric 3 has partial overlap everywhere
 
-	plainMat, plainMask, err := ComputeMaskedMatrix(rows, valid, testAssoc, 8)
+	plainMat, plainMask, err := ComputeMatrix(rows, valid, testAssoc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := &countingScorer{rows: rows, scored: make(map[Pair]bool)}
-	scoredMat, scoredMask, err := ComputeMaskedMatrixScored(rows, valid, testAssoc, sc, 8)
+	scoredMat, scoredMask, err := ComputeMatrix(rows, valid, testAssoc, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +229,9 @@ func TestComputeMaskedMatrixScored(t *testing.T) {
 	}
 }
 
+// TestViolationsMasked pins the masking step of the dense oracle: pairs
+// the mask marks uncomputable read unknown, never violated, and a nil mask
+// (clean window) leaves the Violations tuple as is with every pair known.
 func TestViolationsMasked(t *testing.T) {
 	base := map[Pair]float64{
 		{0, 1}: 0.9,
@@ -188,10 +245,11 @@ func TestViolationsMasked(t *testing.T) {
 	ab.Set(1, 2, 0.1) // violated
 	mask := NewPairMask(3, true)
 	mask.Set(0, 2, false)
-	tuple, known, err := set.ViolationsMasked(ab, 0.2, mask)
+	tuple, err := set.Violations(ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	known := maskTuple(set, tuple, mask)
 	// Sorted pair order: (0,1), (0,2), (1,2).
 	if tuple[0] || !known[0] {
 		t.Fatalf("pair (0,1): tuple=%v known=%v, want holds/known", tuple[0], known[0])
@@ -204,14 +262,17 @@ func TestViolationsMasked(t *testing.T) {
 	}
 
 	// Nil mask reduces to the plain Violations.
-	tuple2, known2, err := set.ViolationsMasked(ab, 0.2, nil)
+	tuple2, err := set.Violations(ab, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _ := set.Violations(ab, 0.2)
+	plain := append([]bool(nil), tuple2...)
+	if known2 := maskTuple(set, tuple2, nil); known2 != nil {
+		t.Fatalf("nil mask produced known flags %v", known2)
+	}
 	for k := range plain {
-		if tuple2[k] != plain[k] || !known2[k] {
-			t.Fatalf("nil-mask ViolationsMasked diverges from Violations at %d", k)
+		if tuple2[k] != plain[k] {
+			t.Fatalf("nil-mask oracle diverges from Violations at %d", k)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestComputeMatrixEachPairOnce(t *testing.T) {
 		counts[a.index(i, j)].Add(1)
 		return float64(i*m + j)
 	}
-	got, err := ComputeMatrix(rows, assoc)
+	got, _, err := ComputeMatrix(rows, nil, assoc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestComputeMaskedMatrixEachPairOnce(t *testing.T) {
 		counts[a.index(i, j)].Add(1)
 		return 0.5
 	}
-	got, mask, err := ComputeMaskedMatrix(rows, valid, assoc, 0)
+	got, mask, err := ComputeMatrix(rows, valid, assoc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +144,15 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 	run := func() result {
 		var r result
-		r.plain, err = ComputeMatrix(rows, mic.MIC)
+		r.plain, _, err = ComputeMatrix(rows, nil, mic.MIC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.scored, err = ComputeMatrixScored(m, batch)
+		r.scored, _, err = ComputeMatrix(rows, nil, nil, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.masked, r.mask, err = ComputeMaskedMatrix(rows, valid, mic.MIC, 0)
+		r.masked, r.mask, err = ComputeMatrix(rows, valid, mic.MIC, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,19 +184,26 @@ func TestParallelMatchesSerial(t *testing.T) {
 }
 
 func TestComputeMatrixScoredErrors(t *testing.T) {
-	if _, err := ComputeMatrixScored(1, nil); err == nil {
+	if _, _, err := ComputeMatrix([][]float64{{1, 2}}, nil, nil, pairSum{}); err == nil {
 		t.Error("single metric should error")
 	}
 }
 
 func TestComputeMatrixScoredValues(t *testing.T) {
 	const m = 9
-	got, err := ComputeMatrixScored(m, pairSum{})
+	rows := make([][]float64, m)
+	for i := range rows {
+		rows[i] = []float64{float64(i), 1}
+	}
+	got, mask, err := ComputeMatrix(rows, nil, nil, pairSum{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < m; i++ {
 		for j := i + 1; j < m; j++ {
+			if mask != nil {
+				t.Fatal("clean window returned a pair mask")
+			}
 			if want := float64(i*100 + j); got.Get(i, j) != want {
 				t.Errorf("scored (%d,%d) = %v, want %v", i, j, got.Get(i, j), want)
 			}

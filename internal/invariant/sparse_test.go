@@ -46,7 +46,7 @@ func trainSet(t *testing.T, rng *stats.RNG, m, n, coupled int) *Set {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat, err := ComputeMatrixScored(m, b)
+		mat, _, err := ComputeMatrix(rows, nil, nil, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,6 +60,37 @@ func trainSet(t *testing.T, rng *stats.RNG, m, n, coupled int) *Set {
 		t.Fatal("training selected no invariants")
 	}
 	return set
+}
+
+// denseViolations is the dense reference pipeline, kept as the oracle of
+// the edge walk: the full matrix fill, Violations over it, then the pair
+// mask (known nil on a clean window, unknown pairs never violated).
+func denseViolations(t *testing.T, set *Set, rows [][]float64, valid [][]bool, assoc AssociationFunc, scorer PairScorer, eps float64) (tuple, known []bool) {
+	t.Helper()
+	mat, mask, err := ComputeMatrix(rows, valid, assoc, scorer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuple, err = set.Violations(mat, eps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tuple, maskTuple(set, tuple, mask)
+}
+
+// maskTuple applies a fill's pair mask to a Violations tuple over set: it
+// clears unknown coordinates in place and returns the known flags, or nil
+// when mask is nil (every pair known).
+func maskTuple(set *Set, tuple []bool, mask *PairMask) []bool {
+	if mask == nil {
+		return nil
+	}
+	known := make([]bool, len(tuple))
+	for k, p := range set.SortedPairs() {
+		known[k] = mask.OK(p.I, p.J)
+		tuple[k] = tuple[k] && known[k]
+	}
+	return known
 }
 
 // TestComputeEdgesScoredMatchesDense: the sparse path (with the prescreen
@@ -80,14 +111,7 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat, err := ComputeMatrixScored(m, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := set.Violations(mat, eps)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := denseViolations(t, set, rows, nil, nil, b, eps)
 		got, st, err := set.ComputeEdgesScored(b, eps)
 		if err != nil {
 			t.Fatal(err)
@@ -100,6 +124,15 @@ func TestComputeEdgesScoredMatchesDense(t *testing.T) {
 		}
 		if broken == nil && st.Screened == 0 {
 			t.Errorf("rep %d: healthy window screened nothing — prescreen has no teeth", rep)
+		}
+		// The rows-taking walk on the same clean window is the all-known
+		// case of the same loop: identical tuple and tiers, nil known.
+		gotM, knownM, stM, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, b, eps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotM, want) || knownM != nil || stM != st {
+			t.Errorf("rep %d: clean masked walk (%v,%v,%+v) != scored walk (%v,%+v)", rep, gotM, knownM, stM, got, st)
 		}
 	}
 }
@@ -135,15 +168,8 @@ func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mat, mask, err := ComputeMaskedMatrixScored(rows, valid, mic.MIC, b, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantTuple, wantKnown, err := set.ViolationsMasked(mat, eps, mask)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(rows, valid, mic.MIC, b, 0, eps)
+		wantTuple, wantKnown := denseViolations(t, set, rows, valid, mic.MIC, b, eps)
+		gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(rows, valid, mic.MIC, b, eps)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,29 +183,30 @@ func TestComputeEdgesMaskedMatchesDense(t *testing.T) {
 }
 
 // TestComputeEdgesMaskedNilScorer: without a batch scorer every computable
-// pair takes the assoc path, still matching the dense reference.
+// pair takes the assoc path, still matching the dense reference — on a
+// clean window (nil known) and on a degraded one.
 func TestComputeEdgesMaskedNilScorer(t *testing.T) {
 	rng := stats.NewRNG(2102)
 	const m, n, coupled = 6, 30, 4
 	set := trainSet(t, rng, m, n, coupled)
 	rows := synthWindow(rng, m, n, coupled, []int{1})
-	mat, mask, err := ComputeMaskedMatrix(rows, nil, mic.MIC, 0)
-	if err != nil {
-		t.Fatal(err)
+	degraded := make([][]float64, m)
+	for i := range rows {
+		degraded[i] = append([]float64(nil), rows[i]...)
 	}
-	wantTuple, wantKnown, err := set.ViolationsMasked(mat, DefaultEpsilon, mask)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0, DefaultEpsilon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
-		t.Errorf("sparse (%v,%v) != dense (%v,%v)", gotTuple, gotKnown, wantTuple, wantKnown)
-	}
-	if st.Screened != 0 {
-		t.Errorf("nil scorer screened %d pairs", st.Screened)
+	degraded[2][3] = math.NaN()
+	for _, win := range [][][]float64{rows, degraded} {
+		wantTuple, wantKnown := denseViolations(t, set, win, nil, mic.MIC, nil, DefaultEpsilon)
+		gotTuple, gotKnown, st, err := set.ComputeEdgesMasked(win, nil, mic.MIC, nil, DefaultEpsilon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotTuple, wantTuple) || !reflect.DeepEqual(gotKnown, wantKnown) {
+			t.Errorf("sparse (%v,%v) != dense (%v,%v)", gotTuple, gotKnown, wantTuple, wantKnown)
+		}
+		if st.Screened != 0 {
+			t.Errorf("nil scorer screened %d pairs", st.Screened)
+		}
 	}
 }
 
@@ -190,15 +217,33 @@ func TestComputeEdgesErrors(t *testing.T) {
 		t.Error("nil scorer should error")
 	}
 	rows := [][]float64{{1, 2}, {1, 2}} // wrong metric count
-	if _, _, _, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0, 0.2); err == nil {
+	if _, _, _, err := set.ComputeEdgesMasked(rows, nil, mic.MIC, nil, 0.2); err == nil {
 		t.Error("dimension mismatch should error")
 	}
 	bad := [][]float64{{1}, {1, 2}, {1, 2}, {1, 2}}
-	if _, _, _, err := set.ComputeEdgesMasked(bad, nil, mic.MIC, nil, 0, 0.2); err == nil {
+	if _, _, _, err := set.ComputeEdgesMasked(bad, nil, mic.MIC, nil, 0.2); err == nil {
 		t.Error("ragged rows should error")
 	}
 	ok := [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}}
-	if _, _, _, err := set.ComputeEdgesMasked(ok, [][]bool{{true}}, mic.MIC, nil, 0, 0.2); err == nil {
+	if _, _, _, err := set.ComputeEdgesMasked(ok, [][]bool{{true}}, mic.MIC, nil, 0.2); err == nil {
 		t.Error("mask dimension mismatch should error")
+	}
+	// Right mask row count, but one row covers 3 of 12 ticks.
+	long := make([][]float64, 4)
+	valid := make([][]bool, 4)
+	for i := range long {
+		long[i] = make([]float64, 12)
+		valid[i] = make([]bool, 12)
+		for t := range valid[i] {
+			long[i][t] = float64(t)
+			valid[i][t] = true
+		}
+	}
+	valid[1] = []bool{true, true, true}
+	if _, _, _, err := set.ComputeEdgesMasked(long, valid, mic.MIC, nil, 0.2); err == nil {
+		t.Error("ragged mask row should error")
+	}
+	if _, _, _, err := set.ComputeEdgesMasked(long, nil, nil, nil, 0.2); err == nil {
+		t.Error("neither scorer nor assoc should error")
 	}
 }

@@ -20,7 +20,8 @@ import "math"
 // and can cost it a sliver of mutual information. screenMargin absorbs that
 // approximation slop; TestScreenLowIsLowerBound pins the inequality
 // empirically across coupled, noisy, monotone, non-monotone and tie-heavy
-// inputs, and core.Config.ExactDiagnosis bypasses the screen entirely.
+// inputs, and the diagnosis equivalence tests hold every screened verdict
+// to a full-matrix oracle that never consults the screen.
 
 // screenMargin is subtracted from the equipartition bound to cover the
 // superclump approximation in the exact DP (see buildClumpEnds): the DP may

@@ -142,8 +142,7 @@ func New(cfg Config) (*Server, *core.LoadReport, error) {
 	// A custom Assoc or explicit BatchAssoc must not be silently replaced by
 	// MIC slider snapshots — the same gate core.New applies when auto-wiring
 	// the batch path.
-	s.useSliders = !cfg.Core.ExactDiagnosis &&
-		cfg.Core.BatchAssoc == nil &&
+	s.useSliders = cfg.Core.BatchAssoc == nil &&
 		(cfg.Core.Assoc == nil || core.BatchFor(cfg.Core.Assoc) != nil)
 	var rep *core.LoadReport
 	if cfg.StoreDir != "" {

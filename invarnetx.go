@@ -146,15 +146,14 @@ func DefaultMICConfig() MICConfig { return mic.DefaultConfig() }
 func NewMICBatch(rows [][]float64, cfg MICConfig) (*MICBatch, error) { return mic.NewBatch(rows, cfg) }
 
 // ComputeAssociationMatrix fills the pairwise association matrix of the
-// metric rows with assoc, pairs fanned out across CPUs.
-func ComputeAssociationMatrix(rows [][]float64, assoc func(xs, ys []float64) float64) (*AssociationMatrix, error) {
-	return invariant.ComputeMatrix(rows, assoc)
-}
-
-// ComputeAssociationMatrixScored fills the matrix from a batch pair scorer
-// such as MICBatch.
-func ComputeAssociationMatrixScored(m int, scorer PairScorer) (*AssociationMatrix, error) {
-	return invariant.ComputeMatrixScored(m, scorer)
+// metric rows, pairs fanned out across CPUs. Pairs score through scorer (a
+// batch pair scorer such as MICBatch over the same rows) when it is
+// non-nil, else through assoc. Rows with non-finite samples need assoc:
+// each pair is then compacted to the ticks both metrics have finite, and
+// a pair left with too few of them scores 0.
+func ComputeAssociationMatrix(rows [][]float64, assoc func(xs, ys []float64) float64, scorer PairScorer) (*AssociationMatrix, error) {
+	mat, _, err := invariant.ComputeMatrix(rows, nil, assoc, scorer)
+	return mat, err
 }
 
 // FitARIMA fits an ARIMA model of the given order.
